@@ -136,6 +136,12 @@ type PipeEdge struct {
 }
 
 // LNIC is a parameterized logical SmartNIC.
+//
+// An LNIC must not change after Validate for as long as a simulator built on
+// it lives: nicsim resolves topology-derived values (per-region access
+// prices, packet-buffer geometry, accelerator unit IDs) once when it builds a
+// Sim and never re-reads them. To model a different NIC, build a new LNIC
+// (Slice returns such a copy).
 type LNIC struct {
 	Name     string
 	ClockGHz float64
@@ -285,9 +291,9 @@ func (l *LNIC) CachedAccessCycles(unit, mem int, store bool, ws int64) (float64,
 // UnitsOfKind returns IDs of units of the given kind.
 func (l *LNIC) UnitsOfKind(k UnitKind) []int {
 	var out []int
-	for _, u := range l.Units {
-		if u.Kind == k {
-			out = append(out, u.ID)
+	for i := range l.Units {
+		if l.Units[i].Kind == k {
+			out = append(out, l.Units[i].ID)
 		}
 	}
 	return out
@@ -296,8 +302,8 @@ func (l *LNIC) UnitsOfKind(k UnitKind) []int {
 // Accelerators returns IDs of accelerator units of the given class.
 func (l *LNIC) Accelerators(class string) []int {
 	var out []int
-	for _, u := range l.Units {
-		if u.Kind == UnitAccel && u.AccelClass == class {
+	for i := range l.Units {
+		if u := &l.Units[i]; u.Kind == UnitAccel && u.AccelClass == class {
 			out = append(out, u.ID)
 		}
 	}
@@ -306,9 +312,9 @@ func (l *LNIC) Accelerators(class string) []int {
 
 // MemByName finds a region by name.
 func (l *LNIC) MemByName(name string) (int, bool) {
-	for _, m := range l.Mems {
-		if m.Name == name {
-			return m.ID, true
+	for i := range l.Mems {
+		if l.Mems[i].Name == name {
+			return l.Mems[i].ID, true
 		}
 	}
 	return 0, false
@@ -316,9 +322,9 @@ func (l *LNIC) MemByName(name string) (int, bool) {
 
 // UnitByName finds a unit by name.
 func (l *LNIC) UnitByName(name string) (int, bool) {
-	for _, u := range l.Units {
-		if u.Name == name {
-			return u.ID, true
+	for i := range l.Units {
+		if l.Units[i].Name == name {
+			return l.Units[i].ID, true
 		}
 	}
 	return 0, false

@@ -22,6 +22,7 @@ type exec struct {
 	pktOwned bool
 	wire     []byte
 	pktIndex int
+	pktBase  uint64 // the packet's base address in the packet region
 
 	now     float64
 	bd      Breakdown
@@ -87,6 +88,8 @@ func (e *exec) reset(wire []byte, pktIndex int) {
 	e.pktOwned = false
 	e.wire = wire
 	e.pktIndex = pktIndex
+	// Rotate each packet's base address so consecutive packets do not alias.
+	e.pktBase = (uint64(pktIndex) * 2048) % e.s.pkt.span
 	e.now = 0
 	e.bd = Breakdown{}
 	e.emitted = false
@@ -109,33 +112,19 @@ func (e *exec) onInstr(_ int, in *cir.Instr) {
 	e.bd.Compute += cost
 }
 
-// pktBase returns the packet's simulated base address in the packet region,
-// rotated per packet so consecutive packets do not alias.
-func (e *exec) pktBase() uint64 {
-	region := e.s.nic.Mems[e.s.nic.PktMem]
-	span := uint64(region.Bytes)
-	if span < 4096 {
-		span = 4096
-	}
-	return (uint64(e.pktIndex) * 2048) % (span - 2048)
-}
-
 // payloadRead charges one payload byte read at payload offset i, amortized
 // by memory line for sequential access, honoring tail spill to the
 // secondary packet region for large packets (§3.2).
 func (e *exec) payloadRead(i int) {
+	pl := &e.s.pkt
 	off := len(e.wire) - len(e.pkt.Payload) + i
-	region := e.s.nic.PktMem
-	addr := e.pktBase() + uint64(off)
-	if off >= e.s.nic.PktMemResident {
-		region = e.s.nic.PktSpillMem
-		addr = (uint64(e.pktIndex)*4096 + uint64(off)) % uint64(e.s.nic.Mems[region].Bytes)
+	region, addr, lines := pl.mem, e.pktBase+uint64(off), pl.memLine
+	if off >= pl.resident {
+		region = pl.spill
+		addr = (uint64(e.pktIndex)*4096 + uint64(off)) % pl.spillBytes
+		lines = pl.spillLine
 	}
-	lineBytes := e.s.nic.Mems[region].LineBytes
-	if lineBytes <= 0 {
-		lineBytes = 64
-	}
-	line := int64(region)<<56 | int64(addr)/int64(lineBytes)
+	line := int64(region)<<56 | lines.index(addr)
 	if line == e.lastLine {
 		// Same line as the previous byte: register-file speed.
 		e.now++
@@ -222,10 +211,10 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 	case cir.VCChecksum:
 		seg := e.l4SegmentLen()
 		if s.cfg.Place.ChecksumOnAccel {
-			if accels := s.nic.Accelerators("checksum"); len(accels) > 0 {
+			if u := s.checksumUnit; u >= 0 {
 				if s.accelDown("checksum") {
 					s.noteFallback("checksum") // outage: software path below
-				} else if t, ok := s.accelVisit(accels[0], seg, e.now, &e.bd); ok {
+				} else if t, ok := s.accelVisit(u, seg, e.now, &e.bd); ok {
 					e.now = t
 					return 0, nil
 				} else {
@@ -237,11 +226,7 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 		// plus packet-memory reads line by line (the ~1700-extra-cycles
 		// path of §2.1).
 		e.charge(100 + float64(seg))
-		lineBytes := s.nic.Mems[s.nic.PktMem].LineBytes
-		if lineBytes <= 0 {
-			lineBytes = 64
-		}
-		for off := 0; off < seg; off += lineBytes {
+		for off, step := 0, int(s.pkt.memLine.bytes); off < seg; off += step {
 			e.payloadRead(off)
 		}
 		return 0, nil
@@ -328,10 +313,10 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 	case cir.VCCrypto:
 		n := int(args[1])
 		if s.cfg.Place.CryptoOnAccel {
-			if accels := s.nic.Accelerators("crypto"); len(accels) > 0 {
+			if u := s.cryptoUnit; u >= 0 {
 				if s.accelDown("crypto") {
 					s.noteFallback("crypto") // outage: software path below
-				} else if t, ok := s.accelVisit(accels[0], n, e.now, &e.bd); ok {
+				} else if t, ok := s.accelVisit(u, n, e.now, &e.bd); ok {
 					e.now = t
 					return 0, nil
 				} else {

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -300,6 +301,16 @@ type Sim struct {
 	npu      *lnic.ComputeUnit // representative general core for pricing
 	npuUnit  int
 	rngState uint64
+
+	// Topology values resolved once at NewContext; the LNIC must not change
+	// while the Sim lives, and the pool's reset contract pins the NIC, so
+	// they survive reset. missCycles[r] is the [load, store] price of an
+	// uncached access or cache miss from npuUnit into region r: AccessCycles
+	// with its NUMA edge, or the raw Load/StoreCycles when no edge reaches r.
+	missCycles   [][2]float64
+	pkt          pktLayout
+	checksumUnit int // first checksum accelerator, -1 when absent
+	cryptoUnit   int // first crypto accelerator, -1 when absent
 	// parserUnits/egressUnits cache UnitsOfKind results (which allocate a
 	// fresh slice per call) for the two lookups the packet loop needs.
 	parserUnits []int
@@ -413,6 +424,7 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	s.npu = &s.nic.Units[s.npuUnit]
 	s.parserUnits = s.nic.UnitsOfKind(lnic.UnitParser)
 	s.egressUnits = s.nic.UnitsOfKind(lnic.UnitEgress)
+	s.resolveTopology()
 
 	// Both execution engines are built once per Sim: the compiled closure
 	// chains drive the packet loop, the interpreter stays as the reference
@@ -522,6 +534,90 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 		}
 	}
 	return s, nil
+}
+
+// pktLayout is the packet-buffer geometry payloadRead prices against (§3.2:
+// packets reside in PktMem up to PktMemResident bytes, tails spill to
+// PktSpillMem).
+type pktLayout struct {
+	mem, spill int // region IDs
+	resident   int // bytes resident in mem before the tail spills
+	// span is the modulus that rotates each packet's base address through
+	// mem so consecutive packets do not alias; spillBytes is the spill
+	// region's size, which spilled tail addresses wrap at.
+	span       uint64
+	spillBytes uint64
+	memLine    lineSize
+	spillLine  lineSize
+}
+
+// lineSize maps addresses to a region's memory lines. shift is
+// log2(bytes) when the line size is a power of two (every built-in profile),
+// letting index shift instead of divide; -1 otherwise.
+type lineSize struct {
+	bytes int64
+	shift int
+}
+
+// newLineSize resolves a region's LineBytes, defaulting unset sizes to 64.
+func newLineSize(lineBytes int) lineSize {
+	if lineBytes <= 0 {
+		lineBytes = 64
+	}
+	l := lineSize{bytes: int64(lineBytes), shift: -1}
+	if lineBytes&(lineBytes-1) == 0 {
+		l.shift = bits.TrailingZeros(uint(lineBytes))
+	}
+	return l
+}
+
+// index returns the line holding addr. Simulated addresses stay far below
+// 2^63, where the shift and the division agree.
+func (l lineSize) index(addr uint64) int64 {
+	if l.shift >= 0 {
+		return int64(addr) >> uint(l.shift)
+	}
+	return int64(addr) / l.bytes
+}
+
+// resolveTopology computes every value the per-access pricing needs that
+// depends only on the NIC: the miss-price table, the packet-buffer layout
+// and the accelerator unit IDs the checksum and crypto vcalls visit.
+func (s *Sim) resolveTopology() {
+	nic := s.nic
+	s.missCycles = make([][2]float64, len(nic.Mems))
+	for r := range nic.Mems {
+		for st, store := range [2]bool{false, true} {
+			c, ok := nic.AccessCycles(s.npuUnit, r, store)
+			if !ok {
+				// Region unreachable from the cores; price it as the raw
+				// latency.
+				c = nic.Mems[r].LoadCycles
+				if store {
+					c = nic.Mems[r].StoreCycles
+				}
+			}
+			s.missCycles[r][st] = c
+		}
+	}
+	span := uint64(nic.Mems[nic.PktMem].Bytes)
+	if span < 4096 {
+		span = 4096
+	}
+	s.pkt = pktLayout{
+		mem: nic.PktMem, spill: nic.PktSpillMem, resident: nic.PktMemResident,
+		span:       span - 2048,
+		spillBytes: uint64(nic.Mems[nic.PktSpillMem].Bytes),
+		memLine:    newLineSize(nic.Mems[nic.PktMem].LineBytes),
+		spillLine:  newLineSize(nic.Mems[nic.PktSpillMem].LineBytes),
+	}
+	s.checksumUnit, s.cryptoUnit = -1, -1
+	if ids := nic.Accelerators("checksum"); len(ids) > 0 {
+		s.checksumUnit = ids[0]
+	}
+	if ids := nic.Accelerators("crypto"); len(ids) > 0 {
+		s.cryptoUnit = ids[0]
+	}
 }
 
 // ForceInterp switches the packet loop between the compiled closure-chain
@@ -955,27 +1051,24 @@ func classify(p *packet.Packet) string {
 }
 
 // memAccess charges one access from the general cores into a region at a
-// concrete address, consulting the region's cache if it has one. An injected
-// soft fault (per-region rate) retries the access once, doubling its cost.
+// concrete address, consulting the region's cache if it has one; a miss or
+// an uncached access costs the region's missCycles price. An injected soft
+// fault (per-region rate) retries the access once, doubling its cost.
 func (s *Sim) memAccess(region int, addr uint64, store bool, bd *Breakdown) float64 {
-	m := &s.nic.Mems[region]
 	var base float64
 	if c := s.caches[region]; c != nil && c.access(addr) {
-		base = m.CacheHitCycles
+		base = s.nic.Mems[region].CacheHitCycles
 	} else {
-		var ok bool
-		base, ok = s.nic.AccessCycles(s.npuUnit, region, store)
-		if !ok {
-			// Region unreachable from the cores; price it as the raw latency.
-			base = m.LoadCycles
-			if store {
-				base = m.StoreCycles
-			}
+		st := 0
+		if store {
+			st = 1
 		}
+		base = s.missCycles[region][st]
 	}
 	if f := s.faults; f != nil {
-		if rate := f.MemFault[m.Name]; rate > 0 && s.frandFloat() < rate {
-			s.noteMemFault(m.Name)
+		name := s.nic.Mems[region].Name
+		if rate := f.MemFault[name]; rate > 0 && s.frandFloat() < rate {
+			s.noteMemFault(name)
 			base *= 2 // one retry
 		}
 	}

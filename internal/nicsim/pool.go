@@ -29,7 +29,9 @@ import (
 // reset restores s to the state NewContext(ctx, cfg) would have produced,
 // reusing every allocation whose shape is config-invariant. cfg must agree
 // with the Sim's original config on everything except Seed and Faults (see
-// the file comment); the caller is responsible for that invariant.
+// the file comment); the caller is responsible for that invariant. Because
+// the NIC is pinned, the topology values resolveTopology derived from it
+// stay valid and are kept as they are.
 func (s *Sim) reset(cfg Config) {
 	s.cfg = cfg
 	s.faults = cfg.Faults

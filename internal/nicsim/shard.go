@@ -296,6 +296,18 @@ produce:
 // sequential run of the shards would have produced.
 func mergeShards(ctx context.Context, cfg Config, runs []shardRun) (*Result, error) {
 	merged := &Result{NFName: cfg.Prog.Name, CacheHitRate: map[string]float64{}}
+	// Size Packets once for the completed shards, so a healthy merge copies
+	// each PacketResult exactly once instead of regrowing the slice. Packets
+	// stays nil when the completed shards hold no packets.
+	n := 0
+	for _, sr := range runs {
+		if sr.res != nil {
+			n += len(sr.res.Packets)
+		}
+	}
+	if n > 0 {
+		merged.Packets = make([]PacketResult, 0, n)
+	}
 	if cfg.Timeline {
 		merged.Timeline = &Timeline{NF: cfg.Prog.Name, NIC: cfg.NIC.Name, ClockGHz: cfg.NIC.ClockGHz}
 	}
